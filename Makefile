@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-smoke check-autotune check-backends check-chaos check-resilience check-scheduler check-static check-types tables csv examples all clean
+.PHONY: install test bench bench-smoke check-autotune check-backends check-chaos check-perfbench check-resilience check-scheduler check-static check-types tables csv examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -55,6 +55,12 @@ check-chaos:
 # skipped, on smaller machines; writes benchmarks/results/scheduler.json).
 check-scheduler:
 	PYTHONPATH=src python benchmarks/bench_scheduler.py --out benchmarks/results/scheduler.json
+
+# Repo benchmark self-tests: the perfbench runner, workloads and per-layer
+# tracer (BENCHMARK.json) still import, run a short window and report
+# every declared metric.
+check-perfbench:
+	PYTHONPATH=src python -m pytest perfbench -q
 
 # Static analysis gate: the repo-wide invariant lint (must be clean with
 # zero suppressions) plus gradual typing.  Runs before the benchmark

@@ -10,7 +10,9 @@ deadlines, and holds three gates:
    bit-correct result or a *typed* resilience error
    (:class:`DeadlineExceeded`, :class:`BudgetExhausted`,
    :class:`OperationCancelled`, :class:`ResilienceExhausted`, an
-   injected fault, or a flagged brownout).  Any other exception — or a
+   injected fault, or a flagged brownout).  The ``graph_retry`` family
+   also demands that the serial and the thread-pool scheduler end every
+   retried multi-device run identically.  Any other exception — or a
    success whose bytes differ from the reference — fails the gate:
    no hangs, no silent corruption.
 2. **Deterministic replay** — every seed is run twice; the outcome hash
@@ -44,6 +46,7 @@ import numpy as np
 from repro.backends import list_backends
 from repro.core import SEMIRINGS, mmo
 from repro.hooks.pipeline import Hook
+from repro.hw.device import Simd2Device
 from repro.resilience import (
     BreakerBoard,
     BudgetExhausted,
@@ -60,12 +63,12 @@ from repro.resilience import (
     VirtualClock,
     resilient_mmo,
 )
-from repro.runtime import Trace, use_context
+from repro.runtime import Trace, mmo_tiled_multi_device, use_context
 from repro.runtime.batched import batched_mmo
 from repro.runtime.closure import closure
 from repro.sched import ThreadPoolExecutor
 
-SEEDS = range(60)  # gate floor is 50 seeded runs
+SEEDS = range(70)  # gate floor is 50 seeded runs; ten per family
 SCENARIOS = (
     "threaded_faults",
     "deadline_backoff",
@@ -73,6 +76,7 @@ SCENARIOS = (
     "brownout",
     "cancellation",
     "breaker",
+    "graph_retry",
 )
 #: Outcome labels that count as *typed* termination (gate 1).
 TYPED_OUTCOMES = frozenset(
@@ -321,6 +325,79 @@ def breaker(seed: int) -> tuple[str, str]:
     return "success", f"{_array_hex(result)} {snapshot}"
 
 
+def graph_retry(seed: int) -> tuple[str, str]:
+    """A dropped multi-device band retried under jittered backoff + budget.
+
+    The band retry runs on a scheduler launch node, so the policy's
+    backoff, the budget's retry quota and its deadline must all hold
+    there: a seeded band is dropped, its retry backs off on the virtual
+    clock against a seeded deadline and retry quota, and the run ends
+    bit-correct, ``BudgetExhausted`` or ``DeadlineExceeded`` — the same
+    outcome under the serial and the thread-pool scheduler.  Launch
+    counts are left out of the detail: on a thread pool, how many other
+    bands launched before the failing one is timing, not policy.
+    """
+    rng = np.random.default_rng(seed)
+    a, b = _operands(seed, m=64)
+    band = int(rng.integers(0, 3))  # 64 rows over 3 devices: 3 bands
+    max_retries = int(rng.integers(0, 2))
+    deadline = float(rng.choice((0.3, 5.0)))
+    policy = RetryPolicy(
+        max_retries=2, backoff_base_s=0.5, jitter=0.5, seed=seed
+    )
+    surfaced = []
+    for scheduler in (None, ThreadPoolExecutor(max_workers=2)):
+        clock = VirtualClock()
+        trace = Trace()
+        with use_context(
+            backend="vectorized",
+            fault_plan=FaultPlan(seed=seed, drop=(band,)),
+            budget=ExecutionBudget(
+                deadline_s=deadline, max_retries=max_retries
+            ),
+            clock=clock,
+            trace=trace,
+            scheduler=scheduler,
+        ) as ctx:
+            try:
+                result, _ = mmo_tiled_multi_device(
+                    "min-plus", a, b,
+                    devices=[Simd2Device() for _ in range(3)],
+                    context=ctx, checked=True, retry=policy,
+                )
+            except (BudgetExhausted, DeadlineExceeded) as exc:
+                outcome = (
+                    "budget_exhausted"
+                    if isinstance(exc, BudgetExhausted)
+                    else "deadline_exceeded"
+                )
+                detail = (
+                    f"{type(exc).__name__} retries={exc.retries_spent} "
+                    f"elapsed={exc.elapsed_s:.9f}"
+                )
+            else:
+                if not np.array_equal(result, mmo("min-plus", a, b)):
+                    raise AssertionError("retried bands diverged")
+                outcome, detail = "success", _array_hex(result)
+        retries = trace.summary().retries
+        if retries > max_retries or (retries and clock.slept_s == 0.0):
+            raise AssertionError(
+                f"graph retry ignored the policy: {retries} retries against "
+                f"a quota of {max_retries}, {clock.slept_s}s of backoff slept"
+            )
+        surfaced.append(
+            (
+                outcome,
+                f"{detail} retry_events={retries} slept={clock.slept_s:.9f}",
+            )
+        )
+    if surfaced[0] != surfaced[1]:
+        raise AssertionError(
+            f"threaded graph retry diverged from serial: {surfaced}"
+        )
+    return surfaced[0]
+
+
 _SCENARIO_FNS = {
     "threaded_faults": threaded_faults,
     "deadline_backoff": deadline_backoff,
@@ -328,6 +405,7 @@ _SCENARIO_FNS = {
     "brownout": brownout,
     "cancellation": cancellation,
     "breaker": breaker,
+    "graph_retry": graph_retry,
 }
 
 

@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.backends import get_backend, list_backends
-from repro.backends.tiling import resolve_opcode
 from repro.compile import PlanCache
+from repro.compile.lower import compile_mmo, resolve_opcode
 from repro.core import SEMIRINGS
 from repro.runtime import ExecutionContext, mmo_tiled
 
@@ -119,6 +119,15 @@ def _interleaved_mins(fn_a, fn_b, repeats: int) -> tuple[float, float]:
     return best_a, best_b
 
 
+def _direct(impl, opcode, a, b, context):
+    """A bare backend call: compile through the plan cache, then execute."""
+    m, k = a.shape
+    compiled, _ = compile_mmo(
+        impl, opcode, m, b.shape[1], k, has_accumulator=False, context=context
+    )
+    return impl.execute(compiled, a, b, None, context=context)
+
+
 def dispatch_overhead(records: list[dict]) -> None:
     """Context-path cost over a direct backend call on a 512² mmo.
 
@@ -140,10 +149,10 @@ def dispatch_overhead(records: list[dict]) -> None:
 
     # (1) Per-call dispatch overhead, measured where it is measurable.
     ta, tb = _operands(ring, 16, 16, 16, seed=5)
-    impl.run_mmo(opcode, ta, tb, None, context=context)  # warm lazy imports
+    _direct(impl, opcode, ta, tb, context)  # warm lazy imports
     mmo_tiled("plus-mul", ta, tb)
     tiny_direct, tiny_context = _interleaved_mins(
-        lambda: impl.run_mmo(opcode, ta, tb, None, context=context),
+        lambda: _direct(impl, opcode, ta, tb, context),
         lambda: mmo_tiled("plus-mul", ta, tb),
         TINY_REPEATS,
     )
@@ -153,7 +162,7 @@ def dispatch_overhead(records: list[dict]) -> None:
     n = DISPATCH_N
     a, b = _operands(ring, n, n, n, seed=17)
     direct, dispatched = _interleaved_mins(
-        lambda: impl.run_mmo(opcode, a, b, None, context=context),
+        lambda: _direct(impl, opcode, a, b, context),
         lambda: mmo_tiled("plus-mul", a, b),
         DISPATCH_REPEATS,
     )

@@ -25,7 +25,7 @@ from repro.isa import (
 from repro.isa.optimizer import optimize_program
 from repro.isa.verifier import verify_program
 from repro.runtime import mmo_tiled
-from repro.runtime.kernels import build_tile_mmo_program
+from repro.compile.lower import build_tile_mmo_program
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,8 @@ unit test pins down because they are conventions spanning many files:
   hand-appends records resurrects exactly the seam drift the pipeline
   refactor removed;
 - **launch-bracketing** — every runtime function that invokes a backend
-  (``.execute`` / ``.run_mmo``) must bracket the call with the pipeline's
+  (``.execute``, or a reintroduced single-shot ``.run_mmo``) must bracket
+  the call with the pipeline's
   ``begin_launch``/``finish_launch``, so no dispatch path escapes
   validation, fault injection or tracing;
 - **raw-matmul** — backends and the sparse tier may not use raw numpy
@@ -188,6 +189,9 @@ class LaunchBracketRule(Rule):
         "pipeline begin_launch and finish_launch"
     )
 
+    #: ``execute`` is the one backend entry the dispatch seam calls;
+    #: ``run_mmo`` (the deleted single-shot path) stays listed so a
+    #: resurrected compile-and-run call cannot dodge the pipeline either.
     _BACKEND_CALLS = frozenset({"execute", "run_mmo"})
 
     def applies_to(self, relpath: str) -> bool:
@@ -463,7 +467,8 @@ class SchedulerLoopRule(Rule):
     divergent orchestration loops the :mod:`repro.sched` refactor
     collapsed — no deterministic node ordinals, no backend thread-safety
     locks, no per-node resilience policy.  Outside :mod:`repro.sched`
-    (the one place allowed to drive the seam, including its retry loop),
+    (the one place allowed to drive the seam; its retried nodes relaunch
+    through :func:`repro.resilience.policy.attempt`),
     replays must be expressed as launch nodes on a
     :class:`~repro.sched.graph.LaunchGraph` and handed to the context's
     scheduler.

@@ -10,10 +10,7 @@ validated operand sets.  Every runtime entry point reaches the backend
 through :func:`get_backend`, compiles through the context's
 :class:`~repro.compile.cache.PlanCache`, and replays the artifact — so a
 closure loop relaunching one shape lowers its warp program exactly once.
-
-``run_mmo`` survives as a thin compile-then-execute compat shim (both on
-:class:`MmoBackend` for built-ins and as the fallback the dispatch layer
-uses for legacy backends that registered only ``run_mmo``).
+:func:`register_backend` rejects objects without both halves.
 
 Built-in backends (``vectorized``, ``emulate``, ``sparse``) are imported
 lazily on first registry access to keep ``import repro`` cheap and the
@@ -67,7 +64,7 @@ class BackendCapabilities:
     :class:`BackendError` naming the capable backends.
 
     ``rings`` is the frozen set of supported semiring names, or ``None``
-    for "every ring" (the permissive default legacy backends get).
+    for "every ring" (the permissive default for undeclared backends).
     ``accumulator`` says whether ``C ⊕`` launches are supported.
     ``density_preference`` is advisory metadata for the planner:
     ``"sparse"`` backends expect to win on mostly-identity operands,
@@ -103,8 +100,6 @@ class BackendCapabilities:
 
 
 #: What a backend without a ``capabilities`` attribute claims: anything.
-#: Legacy backends (registered before capabilities existed) keep
-#: dispatching exactly as before.
 PERMISSIVE_CAPABILITIES = BackendCapabilities()
 
 
@@ -165,10 +160,7 @@ class Backend(Protocol):
     ``C`` of shape ``(m, n)`` when present, ``m > 0`` and ``n > 0``, tile
     grid matching the artifact) and must return the ``(m, n)`` result in
     the ring's output dtype together with the launch's
-    :class:`~repro.runtime.kernels.KernelStats`.  ``run_mmo`` is the
-    single-shot compat path (compile + execute in one call); backends
-    that only provide ``run_mmo`` still dispatch, bypassing the plan
-    cache.
+    :class:`~repro.runtime.kernels.KernelStats`.
     """
 
     name: str
@@ -194,26 +186,15 @@ class Backend(Protocol):
         context: "ExecutionContext",
     ) -> "tuple[np.ndarray, KernelStats]": ...
 
-    def run_mmo(
-        self,
-        opcode: "MmoOpcode",
-        a: "np.ndarray",
-        b: "np.ndarray",
-        c: "np.ndarray | None",
-        *,
-        context: "ExecutionContext",
-    ) -> "tuple[np.ndarray, KernelStats]": ...
-
 
 class MmoBackend:
-    """Concrete base for backends: default lowering + the run_mmo shim.
+    """Concrete base for backends: the default lowering.
 
     Subclasses implement ``execute``; ``compile`` defaults to the shared
     :func:`repro.compile.lower.lower_mmo` lowering (the artifact is
     backend-agnostic — it carries the tile grid, the optimised warp
     program, and the shared-memory layout, and each backend consumes the
-    parts it needs), and ``run_mmo`` is kept as the thin compat shim:
-    compile through the context's plan cache, then execute.
+    parts it needs).
     """
 
     name: str = ""
@@ -249,25 +230,6 @@ class MmoBackend:
             f"backend {self.name!r} must implement execute()"
         )
 
-    def run_mmo(
-        self,
-        opcode: "MmoOpcode",
-        a: "np.ndarray",
-        b: "np.ndarray",
-        c: "np.ndarray | None",
-        *,
-        context: "ExecutionContext",
-    ) -> "tuple[np.ndarray, KernelStats]":
-        from repro.compile.lower import compile_mmo
-
-        m, k = a.shape
-        n = b.shape[1]
-        compiled, _ = compile_mmo(
-            self, opcode, m, n, k,
-            has_accumulator=c is not None, context=context,
-        )
-        return self.execute(compiled, a, b, c, context=context)
-
 
 _REGISTRY: dict[str, Backend] = {}
 _BUILTINS_LOADED = False
@@ -284,11 +246,26 @@ def _ensure_builtins() -> None:
 
 
 def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
-    """Register ``backend`` under ``backend.name``; returns it for chaining."""
+    """Register ``backend`` under ``backend.name``; returns it for chaining.
+
+    The object must expose a non-empty string ``name`` and callable
+    ``compile``/``execute`` (subclass :class:`MmoBackend` to inherit the
+    default lowering); anything else raises :class:`BackendError`.
+    """
     name = getattr(backend, "name", None)
     if not isinstance(name, str) or not name:
         raise BackendError(
             f"backend {backend!r} must expose a non-empty string 'name'"
+        )
+    missing = [
+        method
+        for method in ("compile", "execute")
+        if not callable(getattr(backend, method, None))
+    ]
+    if missing:
+        raise BackendError(
+            f"backend {name!r} must implement {' and '.join(missing)}() "
+            f"(subclass MmoBackend for the default compile)"
         )
     if name in _REGISTRY and not replace:
         raise BackendError(

@@ -16,13 +16,11 @@ import dataclasses
 
 import numpy as np
 
-from repro.compile.artifact import grid_for
-from repro.compile.lower import resolve_opcode
 from repro.core.semiring import Semiring
 from repro.core.tiles import TILE, ceil_div, pad_to_tiles
 from repro.runtime.kernels import KernelStats
 
-__all__ = ["TilePlan", "grid_for", "partition_bands", "plan_mmo", "resolve_opcode"]
+__all__ = ["TilePlan", "partition_bands", "plan_mmo"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,6 +102,3 @@ def partition_bands(
     bounds = [min(extent, (i * units // parts) * tile) for i in range(parts + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(parts)]
 
-
-# grid_for and resolve_opcode moved to repro.compile (the cache key and
-# the artifact are derived from them); re-exported above for compat.

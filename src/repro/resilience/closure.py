@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.registry import get_semiring
-from repro.core.semiring import Semiring, SemiringError
+from repro.core.semiring import Semiring
 from repro.resilience.policy import FallbackChain, RetryPolicy, resilient_mmo
 from repro.resilience.watchdog import ClosureDiagnostics, ClosureWatchdog
 
@@ -86,41 +86,19 @@ def resilient_closure(
     The ``watchdog`` observes every iterate; on a trip the loop stops
     with the structured diagnosis instead of burning the iteration cap.
     """
-    from repro.runtime.closure import matrices_equal, max_iterations_for
+    from repro.runtime.closure import fixpoint, matrices_equal
     from repro.runtime.context import resolve_context
     from repro.runtime.multidevice import mmo_tiled_multi_device
 
     ring = get_semiring(ring)
     ctx = resolve_context(context, backend=backend)
-    current = np.asarray(adjacency, dtype=ring.output_dtype)
-    if current.ndim != 2 or current.shape[0] != current.shape[1]:
-        raise SemiringError(
-            f"closure needs a square matrix, got shape {current.shape}"
-        )
-    if method not in ("leyzorek", "bellman-ford"):
-        raise SemiringError(f"unknown closure method {method!r}")
-    n = current.shape[0]
-    if max_iterations is not None:
-        limit = max_iterations
-    else:
-        limit = max_iterations_for(method, n) + (1 if convergence_check else 0)
-    if limit <= 0:
-        raise SemiringError(f"max_iterations must be positive, got {limit}")
-
-    guard: ClosureWatchdog | None = None
-    if watchdog:
-        guard = watchdog if isinstance(watchdog, ClosureWatchdog) else ClosureWatchdog(ring)
     blacklist = blacklist if blacklist is not None else set()
-
-    base = current.copy()
-    converged = False
-    iterations = 0
-    mmo_calls = 0
-    diagnostics: ClosureDiagnostics | None = None
     shares: "tuple[DeviceShare, ...]" = ()
 
-    for _ in range(limit):
-        operand = current if method == "leyzorek" else base
+    def step(
+        current: np.ndarray, operand: np.ndarray, _iteration: int
+    ) -> tuple[np.ndarray, bool]:
+        nonlocal shares
         # In-loop launches skip ring-input validation: iterates may carry
         # NaN/±inf legitimately (fault studies, NaN fixpoints) — the
         # watchdog and ABFT checksums own in-loop poison detection.
@@ -141,39 +119,21 @@ def resilient_closure(
                 checked=checked, rtol=rtol, atol=atol,
                 api="resilient_closure", validate_inputs=False,
             )
-        mmo_calls += 1
-        iterations += 1
-        if guard is not None:
-            diagnostics = guard.observe(updated, current, iterations)
-            if diagnostics is not None:
-                current = updated
-                from repro.hooks.pipeline import emit_event
+        return updated, convergence_check and matrices_equal(updated, current)
 
-                emit_event(
-                    ctx,
-                    kind="watchdog",
-                    api="resilient_closure",
-                    detail=diagnostics.describe(),
-                )
-                break
-        if convergence_check and matrices_equal(updated, current):
-            current = updated
-            converged = True
-            break
-        current = updated
-
-    if guard is not None and diagnostics is None:
-        diagnostics = ClosureDiagnostics(
-            healthy=True, reason=None, iteration=iterations,
-            detail="no poisoning, regression, or oscillation observed",
-        )
+    fixed = fixpoint(
+        np.asarray(adjacency, dtype=ring.output_dtype), step,
+        ring=ring, method=method, convergence_check=convergence_check,
+        max_iterations=max_iterations, watchdog=watchdog, context=ctx,
+        api="resilient_closure",
+    )
     return ResilientClosureResult(
-        matrix=current,
-        iterations=iterations,
-        converged=converged,
+        matrix=fixed.matrix,
+        iterations=fixed.iterations,
+        converged=fixed.converged,
         method=method,
-        mmo_calls=mmo_calls,
-        diagnostics=diagnostics,
+        mmo_calls=fixed.iterations,
+        diagnostics=fixed.diagnostics,
         blacklist=frozenset(blacklist),
         device_shares=shares,
     )

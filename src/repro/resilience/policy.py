@@ -14,6 +14,11 @@ response side for single launches:
   backend keeps failing (e.g. ``vectorized → emulate``: if the fast path
   is corrupt or the emulated device faults, fall back to the other
   substrate and keep serving).  Each hop records a ``fallback`` event.
+- :func:`attempt` — the one retry loop: relaunch, ABFT-verify, charge the
+  budget, back off and emit ``retry`` events per the policy.  Both
+  :func:`resilient_mmo` and the scheduler's checked/retried launch nodes
+  (:mod:`repro.sched.executor`) run their launches through it, so every
+  knob holds identically on the single-device and the graph paths.
 - :func:`resilient_mmo` — the two composed: checked (optional) launches
   under the context's backend, retried per policy, falling back down the
   chain, raising :class:`ResilienceExhausted` only when every avenue is
@@ -32,27 +37,36 @@ reruns the same rejection, so :meth:`RetryPolicy.should_retry` and
 recovery can outrun.  :func:`classify` names the bucket.
 
 Multi-device recovery (band repartitioning) lives with the partitioner in
-:mod:`repro.runtime.multidevice`; it consumes the same :class:`RetryPolicy`.
+:mod:`repro.runtime.multidevice`; its band retries run through
+:func:`attempt` on the scheduler's launch nodes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.compile.artifact import CompileError
 from repro.hooks.pipeline import emit_event
 from repro.hw.errors import HardwareError
-from repro.resilience.checksum import CheckedLaunch, CorruptionDetected, mmo_checksums
+from repro.resilience.budget import BudgetError
+from repro.resilience.checksum import (
+    CheckedLaunch,
+    CorruptionDetected,
+    MmoChecksums,
+    mmo_checksums,
+)
+from repro.resilience.clock import resolve_clock
 from repro.resilience.faults import DeviceFailure, InjectedFault, ResilienceError
 from repro.runtime.kernels import OperandValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.semiring import Semiring
     from repro.isa.opcodes import MmoOpcode
+    from repro.resilience.breaker import BreakerBoard
     from repro.runtime.context import ExecutionContext
     from repro.runtime.kernels import KernelStats
 
@@ -242,6 +256,71 @@ class FallbackChain:
         return isinstance(exc, self.fallback_on)
 
 
+def attempt(
+    launch: "Callable[[int], tuple[np.ndarray, KernelStats]]",
+    policy: RetryPolicy,
+    *,
+    context: "ExecutionContext",
+    api: str,
+    check: "tuple[CheckedLaunch, MmoChecksums] | None" = None,
+    board: "BreakerBoard | None" = None,
+    label: str = "",
+    device_index: int | None = None,
+) -> "tuple[np.ndarray, KernelStats]":
+    """Run one launch under ``policy`` on one backend: the retry primitive.
+
+    ``launch(n)`` performs 0-based attempt ``n`` (callers use ``n`` to keep
+    a build-time fault ordinal on the first attempt only).  Each result is
+    verified against ``check``'s ABFT checksums when given.  A failure the
+    policy refuses (:data:`PERMANENT`, outside ``retry_on``, or the last
+    attempt) propagates unchanged; otherwise the context's budget is
+    charged a retry slot, a ``retry`` event lands on the trace, and the
+    policy's backoff is slept on the context's clock — charged against the
+    deadline when the context carries a budget.
+
+    ``board`` opts into breaker feedback for ``context.backend``: every
+    transient failure emits a ``backend_failure`` event and a verified
+    success records a full health reset.  Every recovery path — the
+    single-device fallback walk in :func:`resilient_mmo` and the
+    scheduler's checked/retried launch nodes — goes through here.
+    """
+    budget = context.budget
+    clock = resolve_clock(context)
+    prefix = f"{label} " if label else ""
+    for attempt in range(policy.max_attempts):
+        try:
+            result, stats = launch(attempt)
+            if check is not None:
+                checker, sums = check
+                checker.verify(sums, result, context=context, api=api)
+                if board is not None:
+                    # Verified evidence: reset the backend's failure
+                    # count (the hook's probe_only success cannot).
+                    board.record_success(context.backend)
+            return result, stats
+        except Exception as exc:  # noqa: BLE001 - classified below
+            if board is not None and classify(exc) == "transient":
+                emit_event(
+                    context, kind="backend_failure", api=api,
+                    detail=f"{type(exc).__name__}: {exc}",
+                )
+            if not policy.should_retry(exc, attempt):
+                raise
+            if budget is not None:
+                budget.charge_retry(clock)
+            emit_event(
+                context, kind="retry", api=api, attempt=attempt + 1,
+                device_index=device_index,
+                detail=f"{prefix}attempt {attempt + 1} failed: {exc}",
+            )
+            delay = policy.backoff_s(attempt)
+            if budget is not None:
+                budget.charge_sleep(clock, delay)
+            elif delay > 0.0:
+                clock.sleep(delay)
+    raise AssertionError("unreachable: the last attempt returns or raises")
+
+
 def resilient_mmo(
     ring: "Semiring | str | MmoOpcode",
     a: np.ndarray,
@@ -283,7 +362,6 @@ def resilient_mmo(
     """
     from repro.compile.lower import resolve_opcode
     from repro.resilience.breaker import BreakerOpen
-    from repro.resilience.clock import resolve_clock
     from repro.runtime.context import resolve_context
     from repro.runtime.kernels import mmo_tiled
 
@@ -291,15 +369,15 @@ def resilient_mmo(
     ctx = resolve_context(context)
     retry = retry if retry is not None else RetryPolicy()
     fallback = fallback if fallback is not None else FallbackChain()
-    checker = CheckedLaunch(rtol=rtol, atol=atol) if checked else None
-    sums = (
-        mmo_checksums(opcode.semiring, a, b, c, rtol=rtol, atol=atol)
-        if checker is not None
+    check = (
+        (
+            CheckedLaunch(rtol=rtol, atol=atol),
+            mmo_checksums(opcode.semiring, a, b, c, rtol=rtol, atol=atol),
+        )
+        if checked
         else None
     )
     board = ctx.breakers
-    budget = ctx.budget
-    clock = resolve_clock(ctx)
 
     causes: list[tuple[str, BaseException]] = []
     for backend_name in fallback.plan(ctx.backend, ring=opcode, a=a, b=b, c=c):
@@ -318,45 +396,18 @@ def resilient_mmo(
                 detail=f"degrading {causes[-1][0]} -> {backend_name}: "
                        f"{causes[-1][1]}",
             )
-        last: BaseException | None = None
-        for attempt in range(retry.max_attempts):
-            try:
-                result, stats = mmo_tiled(
+        try:
+            return attempt(
+                lambda _n: mmo_tiled(
                     opcode, a, b, c, context=attempt_ctx, api=api,
                     validate_inputs=validate_inputs,
-                )
-                if checker is not None and sums is not None:
-                    checker.verify(sums, result, context=attempt_ctx, api=api)
-                    if board is not None:
-                        # Verified evidence: reset the backend's failure
-                        # count (the hook's probe_only success cannot).
-                        board.record_success(backend_name)
-                return result, stats
-            except Exception as exc:  # noqa: BLE001 - classified below
-                last = exc
-                if board is not None and classify(exc) == "transient":
-                    emit_event(
-                        ctx, kind="backend_failure", api=api,
-                        backend=backend_name,
-                        detail=f"{type(exc).__name__}: {exc}",
-                    )
-                if retry.should_retry(exc, attempt):
-                    if budget is not None:
-                        budget.charge_retry(clock)
-                    emit_event(
-                        ctx, kind="retry", api=api, backend=backend_name,
-                        detail=f"attempt {attempt + 1} failed: {exc}",
-                        attempt=attempt + 1,
-                    )
-                    delay = retry.backoff_s(attempt)
-                    if budget is not None:
-                        budget.charge_sleep(clock, delay)
-                    elif delay > 0.0:
-                        clock.sleep(delay)
-                    continue
-                if fallback.should_fall_back(exc):
-                    break  # next backend in the chain
+                ),
+                retry, context=attempt_ctx, api=api, check=check, board=board,
+            )
+        except BudgetError:
+            raise  # spent budget is never outrun by another backend
+        except Exception as exc:  # noqa: BLE001 - classified below
+            if not fallback.should_fall_back(exc):
                 raise  # non-recoverable: propagate as-is
-        assert last is not None
-        causes.append((backend_name, last))
+            causes.append((backend_name, exc))
     raise ResilienceExhausted(causes)

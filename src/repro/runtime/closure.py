@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Generic, TypeVar
 
 import numpy as np
 
@@ -38,6 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.watchdog import ClosureDiagnostics, ClosureWatchdog
 
 __all__ = ["ClosureResult", "closure", "matrices_equal", "max_iterations_for"]
+
+#: The iterate type :func:`fixpoint` loops over: a dense ndarray or a CSR.
+M = TypeVar("M")
 
 
 def matrices_equal(x: np.ndarray, y: np.ndarray) -> bool:
@@ -89,6 +92,124 @@ def max_iterations_for(method: str, num_vertices: int) -> int:
     if method == "leyzorek":
         return max(1, math.ceil(math.log2(num_vertices)))
     raise SemiringError(f"unknown closure method {method!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class Fixpoint(Generic[M]):
+    """What :func:`fixpoint` hands back to the closure entry points."""
+
+    matrix: M
+    iterations: int
+    converged: bool
+    checks: int
+    diagnostics: "ClosureDiagnostics | None"
+
+
+def fixpoint(
+    initial: M,
+    step: "Callable[[M, M, int], tuple[M, bool]]",
+    *,
+    ring: Semiring,
+    method: str,
+    convergence_check: bool,
+    max_iterations: int | None,
+    watchdog: "bool | ClosureWatchdog" = False,
+    context: ExecutionContext | None = None,
+    api: str = "closure",
+    on_budget: str = "raise",
+) -> "Fixpoint[M]":
+    """The one Figure-7 host loop every closure entry point drives.
+
+    ``step(current, operand, iteration)`` runs one ``D ⊕ (D ⊗ X)``
+    iteration (``iteration`` is 0-based) and returns the new iterate plus
+    the equality test's verdict (unused without ``convergence_check``).
+    The loop owns everything else: square/method/limit validation, the
+    operand choice (``X = D`` for Leyzorek, ``X = D₀`` for Bellman-Ford),
+    the convergence stop, the watchdog and its healthy summary, and the
+    ``on_budget="brownout"`` degradation (see :func:`closure`).  Watchdog
+    and brownout events land on ``context`` under ``api``.
+    """
+    shape = tuple(getattr(initial, "shape", ()))
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise SemiringError(f"closure needs a square matrix, got shape {shape}")
+    if method not in ("leyzorek", "bellman-ford"):
+        raise SemiringError(f"unknown closure method {method!r}")
+    if on_budget not in ("raise", "brownout"):
+        raise SemiringError(
+            f"on_budget must be 'raise' or 'brownout', got {on_budget!r}"
+        )
+    if max_iterations is not None:
+        limit = max_iterations
+    else:
+        # With a convergence check the loop runs until the matrix stops
+        # changing; one extra iteration is needed to *observe* the fixpoint.
+        limit = max_iterations_for(method, shape[0]) + (
+            1 if convergence_check else 0
+        )
+    if limit <= 0:
+        raise SemiringError(f"max_iterations must be positive, got {limit}")
+
+    guard: "ClosureWatchdog | None" = None
+    brownout: "tuple[type[BaseException], ...]" = ()
+    if watchdog or on_budget == "brownout":
+        # Lazy: repro.resilience imports the runtime package.
+        from repro.resilience.budget import BudgetError
+        from repro.resilience.watchdog import ClosureDiagnostics, ClosureWatchdog
+
+        if watchdog:
+            guard = watchdog if isinstance(watchdog, ClosureWatchdog) else (
+                ClosureWatchdog(ring)
+            )
+        if on_budget == "brownout":
+            brownout = (BudgetError,)
+
+    current = initial
+    converged = False
+    iterations = 0
+    checks = 0
+    diagnostics: "ClosureDiagnostics | None" = None
+    while iterations < limit:
+        operand = current if method == "leyzorek" else initial
+        try:
+            updated, unchanged = step(current, operand, iterations)
+        except brownout as exc:
+            # Best-effort degradation: keep the last completed iterate as
+            # the partial fixpoint and flag it, instead of discarding the
+            # work already paid for.
+            diagnostics = ClosureDiagnostics(
+                healthy=False, reason="budget_exhausted",
+                iteration=iterations, detail=str(exc),
+            )
+            if context is not None:
+                emit_event(
+                    context, kind="brownout", api=api,
+                    detail=diagnostics.describe(),
+                )
+            break
+        iterations += 1
+        if guard is not None:
+            diagnostics = guard.observe(updated, current, iterations)
+            if diagnostics is not None:
+                current = updated
+                if context is not None:
+                    emit_event(
+                        context, kind="watchdog", api=api,
+                        detail=diagnostics.describe(),
+                    )
+                break
+        current = updated
+        if convergence_check:
+            checks += 1
+            if unchanged:
+                converged = True
+                break
+
+    if guard is not None and diagnostics is None:
+        diagnostics = ClosureDiagnostics(
+            healthy=True, reason=None, iteration=iterations,
+            detail="no poisoning, regression, or oscillation observed",
+        )
+    return Fixpoint(current, iterations, converged, checks, diagnostics)
 
 
 def closure(
@@ -174,44 +295,8 @@ def closure(
     ring = get_semiring(ring)
     ctx = resolve_context(context, backend=backend, device=device)
     current = np.asarray(adjacency, dtype=ring.output_dtype)
-    if current.ndim != 2 or current.shape[0] != current.shape[1]:
-        raise SemiringError(
-            f"closure needs a square matrix, got shape {current.shape}"
-        )
-    n = current.shape[0]
-    if max_iterations is not None:
-        limit = max_iterations
-    else:
-        # With a convergence check the loop runs until the matrix stops
-        # changing; one extra iteration is needed to *observe* the fixpoint.
-        limit = max_iterations_for(method, n) + (1 if convergence_check else 0)
-    if limit <= 0:
-        raise SemiringError(f"max_iterations must be positive, got {limit}")
-    if method not in ("leyzorek", "bellman-ford"):
-        raise SemiringError(f"unknown closure method {method!r}")
     if bands <= 0:
         raise SemiringError(f"bands must be positive, got {bands}")
-    if on_budget not in ("raise", "brownout"):
-        raise SemiringError(
-            f"on_budget must be 'raise' or 'brownout', got {on_budget!r}"
-        )
-
-    guard: "ClosureWatchdog | None" = None
-    if watchdog:
-        if watchdog is True:
-            # Lazy import: repro.resilience imports the runtime package.
-            from repro.resilience.watchdog import ClosureWatchdog
-
-            guard = ClosureWatchdog(ring)
-        else:
-            guard = watchdog
-
-    base = current.copy()
-    converged = False
-    iterations = 0
-    checks = 0
-    diagnostics: "ClosureDiagnostics | None" = None
-    all_stats: list[KernelStats] = []
 
     # Each iteration lowers onto a LaunchGraph (band launches + optional
     # convergence-check node) run by the context's scheduler.  The
@@ -226,83 +311,39 @@ def closure(
     opcode = resolve_opcode(ring)
     pool = ArtifactPool(ctx, "closure")
     scheduler = resolve_scheduler(ctx)
+    all_stats: list[KernelStats] = []
 
-    for _ in range(limit):
-        operand = current if method == "leyzorek" else base
+    def step(
+        matrix: np.ndarray, operand: np.ndarray, iteration: int
+    ) -> tuple[np.ndarray, bool]:
         # Only the first launch sees the caller's validate_inputs choice;
         # replays iterate whatever the ring produced (NaN fixpoints and
         # injected faults included — the watchdog owns in-loop detection).
-        validate = validate_inputs and iterations == 0
         graph, out_ref, check_ref, launch_refs = closure_step_graph(
-            ctx, pool, opcode, current, operand,
+            ctx, pool, opcode, matrix, operand,
             bands=bands, convergence_check=convergence_check,
-            validate_inputs=validate,
+            validate_inputs=validate_inputs and iteration == 0,
         )
-        if on_budget == "brownout":
-            # Lazy: repro.resilience imports the runtime package.
-            from repro.resilience.budget import BudgetError
-            from repro.resilience.watchdog import ClosureDiagnostics
-
-            try:
-                step = scheduler.run(graph, context=ctx)
-            except BudgetError as exc:
-                # Best-effort degradation: keep the last completed
-                # iterate as the partial fixpoint and flag it, instead
-                # of discarding the work already paid for.
-                diagnostics = ClosureDiagnostics(
-                    healthy=False,
-                    reason="budget_exhausted",
-                    iteration=iterations,
-                    detail=str(exc),
-                )
-                emit_event(
-                    ctx,
-                    kind="brownout",
-                    api="closure",
-                    detail=diagnostics.describe(),
-                )
-                break
-        else:
-            step = scheduler.run(graph, context=ctx)
-        updated = np.asarray(step[out_ref])
-        for ref in launch_refs:
-            all_stats.append(step.stats_of(ref))
-        iterations += 1
-        if guard is not None:
-            diagnostics = guard.observe(updated, current, iterations)
-            if diagnostics is not None:
-                current = updated
-                emit_event(
-                    ctx,
-                    kind="watchdog",
-                    api="closure",
-                    detail=diagnostics.describe(),
-                )
-                break
-        if convergence_check:
-            checks += 1
-            # NaN-safe: a NaN fixpoint is still a fixpoint (NaN != NaN
-            # under np.array_equal would spin to the iteration cap).
-            if check_ref is not None and bool(step[check_ref]):
-                current = updated
-                converged = True
-                break
-        current = updated
-
-    if guard is not None and diagnostics is None:
-        from repro.resilience.watchdog import ClosureDiagnostics
-
-        diagnostics = ClosureDiagnostics(
-            healthy=True, reason=None, iteration=iterations,
-            detail="no poisoning, regression, or oscillation observed",
+        result = scheduler.run(graph, context=ctx)
+        all_stats.extend(result.stats_of(ref) for ref in launch_refs)
+        # The check node is NaN-safe: a NaN fixpoint is still a fixpoint.
+        return (
+            np.asarray(result[out_ref]),
+            check_ref is not None and bool(result[check_ref]),
         )
+
+    fixed = fixpoint(
+        current, step, ring=ring, method=method,
+        convergence_check=convergence_check, max_iterations=max_iterations,
+        watchdog=watchdog, context=ctx, api="closure", on_budget=on_budget,
+    )
     return ClosureResult(
-        matrix=current,
-        iterations=iterations,
-        converged=converged,
+        matrix=fixed.matrix,
+        iterations=fixed.iterations,
+        converged=fixed.converged,
         method=method,
         mmo_calls=len(all_stats),
-        convergence_checks=checks,
+        convergence_checks=fixed.checks,
         kernel_stats=tuple(all_stats),
-        diagnostics=diagnostics,
+        diagnostics=fixed.diagnostics,
     )

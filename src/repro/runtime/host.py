@@ -18,9 +18,9 @@ import numpy as np
 
 from repro.compile.lower import resolve_opcode
 from repro.core.registry import get_semiring
-from repro.core.semiring import Semiring, SemiringError
+from repro.core.semiring import Semiring
 from repro.hw.device import Simd2Device
-from repro.runtime.closure import max_iterations_for
+from repro.runtime.closure import fixpoint
 from repro.runtime.context import ExecutionContext, resolve_context
 from repro.runtime.kernels import KernelStats, mmo_tiled
 
@@ -138,20 +138,7 @@ class HostRuntime:
         and leaves the final matrix in the adjacency buffer.
         """
         ring = get_semiring(ring)
-        if method not in ("leyzorek", "bellman-ford"):
-            raise SemiringError(f"unknown closure method {method!r}")
         dist = self.device.global_memory[adjacency_name]
-        if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-            raise SemiringError(f"closure needs a square buffer, got {dist.shape}")
-        n = dist.shape[0]
-        base = dist.copy()
-        if max_iterations is not None:
-            limit = max_iterations
-        else:
-            limit = max_iterations_for(method, n) + (1 if convergence_check else 0)
-
-        converged = False
-        iterations = 0
         all_stats: list[KernelStats] = []
 
         # Figure 7 compiles the kernel once, then the host loop only
@@ -167,35 +154,37 @@ class HostRuntime:
         pool = ArtifactPool(self.context, "closure")
         scheduler = resolve_scheduler(self.context)
 
-        for _ in range(limit):
-            operand = dist if method == "leyzorek" else base
+        def step(
+            current: np.ndarray, operand: np.ndarray, iteration: int
+        ) -> tuple[np.ndarray, bool]:
             # Closure iterates non-finite state legitimately (see
             # repro.runtime.closure): per-iteration validation stays off.
             # equal_nan=False keeps the host's plain np.array_equal check.
             graph, out_ref, check_ref, launch_refs = closure_step_graph(
-                self.context, pool, opcode, dist, operand,
+                self.context, pool, opcode, current, operand,
                 convergence_check=convergence_check,
                 validate_inputs=False, equal_nan=False,
             )
-            step = scheduler.run(graph, context=self.context)
-            delta = np.asarray(step[out_ref])
-            for ref in launch_refs:
-                all_stats.append(step.stats_of(ref))
-            self._log("mmo_launch", f"{ring.name} closure step {iterations}")
-            iterations += 1
+            result = scheduler.run(graph, context=self.context)
+            delta = np.asarray(result[out_ref])
+            all_stats.extend(result.stats_of(ref) for ref in launch_refs)
+            self._log("mmo_launch", f"{ring.name} closure step {iteration}")
             if convergence_check:
-                same = check_ref is not None and bool(step[check_ref])
-                self._log("check", f"convergence after step {iterations}")
-                dist[...] = delta
-                if same:
-                    converged = True
-                    break
-            else:
-                dist[...] = delta
+                self._log("check", f"convergence after step {iteration + 1}")
+            # The next iterate is the device buffer itself (cast to its
+            # dtype), exactly what a Figure-7 host loop relaunches on.
+            dist[...] = delta
+            return dist, check_ref is not None and bool(result[check_ref])
 
+        # D₀ is a copy: the buffer is overwritten every step, while
+        # Bellman-Ford keeps relaxing against the original adjacency.
+        fixed = fixpoint(
+            dist.copy(), step, ring=ring, method=method,
+            convergence_check=convergence_check, max_iterations=max_iterations,
+        )
         return HostClosureOutcome(
             matrix=dist.copy(),
-            iterations=iterations,
-            converged=converged,
+            iterations=fixed.iterations,
+            converged=fixed.converged,
             kernel_stats=tuple(all_stats),
         )

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.compile.lower import build_tile_mmo_program  # noqa: F401 - compat re-export
 from repro.compile.lower import compile_mmo, resolve_opcode
 from repro.core.registry import get_semiring
 from repro.core.semiring import Semiring
@@ -65,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "KernelStats",
     "OperandValidationError",
-    "build_tile_mmo_program",
     "compile_in_context",
     "execute_compiled",
     "mmo_tiled",
@@ -257,17 +255,6 @@ def _degenerate_result(
     return empty, KernelStats(m, n, k, 0, 0, ceil_div(k, TILE) if k else 1)
 
 
-def _supports_compile(impl: "Backend") -> bool:
-    """Whether a backend implements the compile/execute split.
-
-    Legacy backends that registered only ``run_mmo`` keep dispatching
-    through the single-shot path (no plan cache, no artifact replay).
-    """
-    return callable(getattr(impl, "compile", None)) and callable(
-        getattr(impl, "execute", None)
-    )
-
-
 def _apply_selection(
     ctx: ExecutionContext,
     impl: "Backend",
@@ -388,8 +375,7 @@ def execute_compiled(
     keeps today's claim-at-execute numbering.  Degenerate launches ignore
     it — they never claim an ordinal.
 
-    The context must already be resolved (backend validated); the backend
-    must implement ``execute``.
+    The context must already be resolved (backend validated).
     """
     from repro.backends.base import (  # lazy: backends import us
         check_backend_capability,
@@ -522,34 +508,20 @@ def mmo_tiled(
         ctx, impl, densities = _apply_selection(ctx, impl, opcode, a, b, c, api=api)
         pipeline = ctx.pipeline
 
-    if _supports_compile(impl):
-        compiled, hit = compile_in_context(
-            ctx, impl, opcode, m, n, k, has_accumulator=c is not None, api=api
-        )
-        launch = pipeline.begin_launch(
-            ctx, api, opcode, a, b, c,
-            validate_inputs=validate_inputs,
-            cache_hit=hit,
-            optimizer_removed=compiled.optimizer_removed,
-            fault_ordinal=fault_ordinal,
-        )
-        _note_plan_densities(launch, densities)
-        clock = _launch_clock(ctx)
-        start = clock.now()
-        result, stats = impl.execute(compiled, a, b, c, context=ctx)
-        elapsed = clock.now() - start
-        return pipeline.finish_launch(launch, result, stats, elapsed), stats
-
-    # Legacy single-shot path: backends registered with only run_mmo.
+    compiled, hit = compile_in_context(
+        ctx, impl, opcode, m, n, k, has_accumulator=c is not None, api=api
+    )
     launch = pipeline.begin_launch(
         ctx, api, opcode, a, b, c,
         validate_inputs=validate_inputs,
+        cache_hit=hit,
+        optimizer_removed=compiled.optimizer_removed,
         fault_ordinal=fault_ordinal,
     )
     _note_plan_densities(launch, densities)
     clock = _launch_clock(ctx)
     start = clock.now()
-    result, stats = impl.run_mmo(opcode, a, b, c, context=ctx)
+    result, stats = impl.execute(compiled, a, b, c, context=ctx)
     elapsed = clock.now() - start
     return pipeline.finish_launch(launch, result, stats, elapsed), stats
 

@@ -165,7 +165,10 @@ def mmo_tiled_multi_device(
     retry:
         :class:`~repro.resilience.policy.RetryPolicy` for transient band
         failures (detected corruption, injected drops).  Defaults to the
-        policy's defaults when ``checked`` is set.
+        policy's defaults when ``checked`` is set.  Every knob holds as on
+        :func:`~repro.resilience.policy.resilient_mmo`: ``retry_on`` and
+        the permanent-error taxonomy, the context budget's retry quota,
+        and backoff slept on the context clock against its deadline.
     on_device_failure:
         ``"abort"`` (default) propagates the failure; ``"repartition"``
         blacklists the failed device and redistributes *all* rows across

@@ -137,8 +137,8 @@ class LaunchRecord:
     ``cache_hit`` reports the compilation half of the launch: ``True``
     when the plan cache served the compiled artifact (or a precompiled
     artifact was replayed), ``False`` when this launch paid for a fresh
-    lowering, and ``None`` when no compilation happened at all (degenerate
-    empty outputs, legacy ``run_mmo``-only backends).
+    lowering, and ``None`` when no compilation happened at all (a
+    degenerate launch with an empty output).
     ``optimizer_removed`` counts the instructions
     :func:`repro.isa.optimizer.optimize_program` dropped from the
     artifact's warp program.

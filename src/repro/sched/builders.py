@@ -62,9 +62,9 @@ class ArtifactPool:
     across iterations, so iteration 0 reports the cold-cache miss and
     every later iteration a hit, exactly like the pre-graph loop.
 
-    Backends without the compile/execute split (and planning backends,
-    which select per launch) yield ``(None, None)``: their nodes
-    dispatch through :func:`~repro.runtime.kernels.mmo_tiled` instead.
+    Degenerate shapes (an empty output) yield ``(None, None)``: their
+    nodes dispatch through :func:`~repro.runtime.kernels.mmo_tiled`,
+    which records the launch without compiling anything.
     """
 
     def __init__(self, context: "ExecutionContext", api: str):
@@ -73,14 +73,7 @@ class ArtifactPool:
         self._context = context
         self._api = api
         self._impl: "Backend" = get_backend(context.backend)
-        self._supports = callable(getattr(self._impl, "compile", None)) and callable(
-            getattr(self._impl, "execute", None)
-        )
         self._memo: "dict[tuple[str, int, int, int, bool], CompiledMmo]" = {}
-
-    @property
-    def supports_compile(self) -> bool:
-        return self._supports
 
     def artifact(
         self,
@@ -92,7 +85,7 @@ class ArtifactPool:
         has_accumulator: bool,
     ) -> "tuple[CompiledMmo | None, bool | None]":
         """The artifact for one launch shape plus its node's cache-hit flag."""
-        if not self._supports or m <= 0 or n <= 0:
+        if m <= 0 or n <= 0:
             return None, None
         key = (opcode.name, m, n, k, has_accumulator)
         compiled = self._memo.get(key)

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, ContextManager, Protocol, runtime_checkable
 import numpy as np
 
 from repro.hw.errors import HardwareError
-from repro.hooks.pipeline import emit_event
 from repro.runtime.kernels import KernelStats, execute_compiled, mmo_tiled
 from repro.sched.graph import (
     CheckStep,
@@ -226,65 +225,57 @@ def _run_launch(
     assert c is None or isinstance(c, np.ndarray)
     ctx = context if node.device is None else context.replace(device=node.device)
 
-    checker = None
-    sums = None
-    policy = None
-    retryable: "tuple[type[BaseException], ...]" = ()
-    if node.checked or node.retry is not None:
-        # Lazy: repro.resilience sits above this package in the layering.
-        from repro.resilience.checksum import CheckedLaunch, mmo_checksums
-        from repro.resilience.policy import RETRYABLE, RetryPolicy
-
-        retryable = RETRYABLE
-        policy = node.retry if node.retry is not None else RetryPolicy()
-        if node.checked:
-            checker = CheckedLaunch(rtol=node.rtol, atol=node.atol)
-            sums = mmo_checksums(
-                node.opcode.semiring, a, b, c, rtol=node.rtol, atol=node.atol
-            )
-
-    attempts = policy.max_attempts if policy is not None else 1
-    for attempt in range(attempts):
+    def launch(n: int) -> tuple[np.ndarray, KernelStats]:
         # The build-time ordinal belongs to the first attempt; a retry
         # claims a fresh one at execute time, deterministically escaping
         # a transient scheduled fault (the pre-graph retry semantics).
-        ordinal = node.fault_ordinal if attempt == 0 else None
-        try:
-            if node.compiled is not None:
-                result, stats = execute_compiled(
-                    node.compiled, a, b, c,
-                    context=ctx, api=node.api,
-                    cache_hit=node.cache_hit,
-                    validate_inputs=node.validate_inputs,
-                    fault_ordinal=ordinal,
-                )
-            else:
-                result, stats = mmo_tiled(
-                    node.opcode, a, b, c,
-                    context=ctx, api=node.api,
-                    validate_inputs=node.validate_inputs,
-                    fault_ordinal=ordinal,
-                )
-            if checker is not None and sums is not None:
-                checker.verify(sums, result, context=ctx, api=node.api)
-            return result, stats
-        except HardwareError as exc:
-            if not node.wrap_hw_errors:
-                raise
-            from repro.resilience.faults import DeviceFailure  # lazy: layered above
-
-            assert node.device_index is not None
-            raise DeviceFailure(node.device_index, str(exc)) from exc
-        except retryable as exc:
-            if attempt + 1 >= attempts:
-                raise
-            emit_event(
-                context, kind="retry", api=node.api,
-                attempt=attempt + 1, device_index=node.device_index,
-                detail=f"{node.label or node.api} attempt "
-                       f"{attempt + 1} failed: {exc}",
+        ordinal = node.fault_ordinal if n == 0 else None
+        if node.compiled is not None:
+            return execute_compiled(
+                node.compiled, a, b, c,
+                context=ctx, api=node.api,
+                cache_hit=node.cache_hit,
+                validate_inputs=node.validate_inputs,
+                fault_ordinal=ordinal,
             )
-    raise AssertionError("unreachable: retry loop returns or raises")
+        return mmo_tiled(
+            node.opcode, a, b, c,
+            context=ctx, api=node.api,
+            validate_inputs=node.validate_inputs,
+            fault_ordinal=ordinal,
+        )
+
+    try:
+        if not node.checked and node.retry is None:
+            return launch(0)
+        # Lazy: repro.resilience sits above this package in the layering.
+        from repro.resilience.checksum import CheckedLaunch, mmo_checksums
+        from repro.resilience.policy import RetryPolicy, attempt
+
+        check = (
+            (
+                CheckedLaunch(rtol=node.rtol, atol=node.atol),
+                mmo_checksums(
+                    node.opcode.semiring, a, b, c,
+                    rtol=node.rtol, atol=node.atol,
+                ),
+            )
+            if node.checked
+            else None
+        )
+        return attempt(
+            launch,
+            node.retry if node.retry is not None else RetryPolicy(),
+            context=ctx, api=node.api, check=check,
+            label=node.label or node.api, device_index=node.device_index,
+        )
+    except HardwareError as exc:
+        if not node.wrap_hw_errors:
+            raise
+        from repro.resilience.faults import DeviceFailure  # lazy: layered above
+
+        assert node.device_index is not None
+        raise DeviceFailure(node.device_index, str(exc)) from exc
 
 
 def _matrices_match(

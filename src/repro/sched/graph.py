@@ -106,13 +106,14 @@ class Ref:
 
 @dataclasses.dataclass(frozen=True)
 class LaunchStep:
-    """One mmo launch: replay a compiled artifact (or single-shot dispatch).
+    """One mmo launch: replay a compiled artifact (or dispatch afresh).
 
     ``compiled is None`` dispatches through
-    :func:`~repro.runtime.kernels.mmo_tiled` (legacy backends without the
-    compile/execute split, planning backends, degenerate shapes);
-    otherwise :func:`~repro.runtime.kernels.execute_compiled` replays the
-    artifact with ``cache_hit`` recorded on the launch.  ``fault_ordinal``
+    :func:`~repro.runtime.kernels.mmo_tiled` (degenerate shapes, and
+    batched launches whose stacks disagree in shape, so the dispatch
+    raises exactly like the unbatched call); otherwise
+    :func:`~repro.runtime.kernels.execute_compiled` replays the artifact
+    with ``cache_hit`` recorded on the launch.  ``fault_ordinal``
     is the node's build-time-reserved fault-plan ordinal (``None`` when
     no plan rides the context, or for degenerate empty-output launches).
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.registry import get_semiring
 from repro.core.semiring import Semiring, SemiringError
-from repro.runtime.closure import max_iterations_for
+from repro.runtime.closure import fixpoint
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.spgemm import SpgemmStats, _merge_by_column, spgemm
 
@@ -112,42 +112,25 @@ def sparse_closure(
     implicit value is the ring's ⊕ identity.
     """
     ring = get_semiring(ring)
-    if adjacency.shape[0] != adjacency.shape[1]:
-        raise SemiringError(f"closure needs a square matrix, got {adjacency.shape}")
-    if method not in ("leyzorek", "bellman-ford"):
-        raise SemiringError(f"unknown closure method {method!r}")
-    n = adjacency.shape[0]
-    if max_iterations is not None:
-        limit = max_iterations
-    else:
-        limit = max_iterations_for(method, n) + (1 if convergence_check else 0)
-    if limit <= 0:
-        raise SemiringError(f"max_iterations must be positive, got {limit}")
-
-    current = adjacency
-    base = adjacency
-    converged = False
-    iterations = 0
-    total_products = 0
     all_stats: list[SpgemmStats] = []
-    for _ in range(limit):
-        operand = current if method == "leyzorek" else base
+
+    def step(
+        current: CsrMatrix, operand: CsrMatrix, _iteration: int
+    ) -> tuple[CsrMatrix, bool]:
         product, stats = spgemm(ring, current, operand)
         updated = elementwise_oplus(ring, current, product)
         all_stats.append(stats)
-        total_products += stats.products
-        iterations += 1
-        if convergence_check and _equal(updated, current):
-            converged = True
-            current = updated
-            break
-        current = updated
+        return updated, convergence_check and _equal(updated, current)
 
+    fixed = fixpoint(
+        adjacency, step, ring=ring, method=method,
+        convergence_check=convergence_check, max_iterations=max_iterations,
+    )
     return SparseClosureResult(
-        matrix=current,
-        iterations=iterations,
-        converged=converged,
+        matrix=fixed.matrix,
+        iterations=fixed.iterations,
+        converged=fixed.converged,
         method=method,
-        total_products=total_products,
+        total_products=sum(stats.products for stats in all_stats),
         spgemm_stats=tuple(all_stats),
     )

@@ -10,6 +10,7 @@ import pytest
 
 from repro.backends import (
     BackendError,
+    MmoBackend,
     get_backend,
     list_backends,
     register_backend,
@@ -60,12 +61,12 @@ class TestRegistry:
             register_backend(get_backend("vectorized"))
 
     def test_register_and_dispatch_custom_backend(self):
-        class DoublingBackend:
+        class DoublingBackend(MmoBackend):
             name = "test-doubling"
 
-            def run_mmo(self, opcode, a, b, c, *, context):
-                d, stats = get_backend("vectorized").run_mmo(
-                    opcode, a, b, c, context=context
+            def execute(self, compiled, a, b, c, *, context):
+                d, stats = get_backend("vectorized").execute(
+                    compiled, a, b, c, context=context
                 )
                 return d * 2, stats
 
@@ -81,11 +82,8 @@ class TestRegistry:
             _REGISTRY.pop("test-doubling", None)
 
     def test_replace_requires_flag(self):
-        class Dummy:
+        class Dummy(MmoBackend):
             name = "test-dummy"
-
-            def run_mmo(self, opcode, a, b, c, *, context):  # pragma: no cover
-                raise NotImplementedError
 
         register_backend(Dummy())
         try:
@@ -96,12 +94,32 @@ class TestRegistry:
             _REGISTRY.pop("test-dummy", None)
 
     def test_nameless_backend_rejected(self):
-        class Nameless:
-            def run_mmo(self, opcode, a, b, c, *, context):  # pragma: no cover
-                raise NotImplementedError
+        class Nameless(MmoBackend):
+            pass
 
         with pytest.raises(BackendError, match="name"):
             register_backend(Nameless())
+
+    def test_backend_without_compile_execute_rejected(self):
+        class SingleShot:
+            name = "test-single-shot"
+
+            def run_mmo(self, opcode, a, b, c, *, context):  # pragma: no cover
+                raise NotImplementedError
+
+        class ExecuteOnly:
+            name = "test-execute-only"
+            compile = None  # present but not callable
+
+            def execute(self, compiled, a, b, c, *, context):  # pragma: no cover
+                raise NotImplementedError
+
+        with pytest.raises(BackendError, match="compile and execute"):
+            register_backend(SingleShot())
+        with pytest.raises(BackendError, match=r"implement compile\(\)"):
+            register_backend(ExecuteOnly())
+        assert "test-single-shot" not in list_backends()
+        assert "test-execute-only" not in list_backends()
 
 
 class TestEntryPointValidation:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend, list_backends
-from repro.backends.base import _REGISTRY, register_backend
 from repro.bench import render_trace
 from repro.compile import CompileError, PlanCache, resolve_opcode
 from repro.core import mmo
@@ -151,24 +150,6 @@ class TestCacheFlow:
         np.testing.assert_array_equal(out, mmo("min-plus", a, b))
         assert [r.cache_hit for r in trace.records] == [False, True]
         assert cache.stats().misses == 1
-
-    def test_legacy_run_mmo_backend_records_no_cache_flag(self):
-        class LegacyBackend:
-            name = "test-legacy-compat"
-
-            def run_mmo(self, opcode, a, b, c, *, context):
-                return get_backend("vectorized").run_mmo(
-                    opcode, a, b, c, context=context
-                )
-
-        register_backend(LegacyBackend())
-        try:
-            trace = Trace()
-            ctx = ExecutionContext(backend="test-legacy-compat", trace=trace)
-            mmo_tiled("plus-mul", np.ones((4, 4)), np.ones((4, 4)), context=ctx)
-            assert trace.records[0].cache_hit is None
-        finally:
-            _REGISTRY.pop("test-legacy-compat", None)
 
 
 class TestTracedClosure:

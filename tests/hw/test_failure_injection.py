@@ -115,7 +115,7 @@ class TestResourceExhaustion:
     def test_kernel_on_tiny_scratchpad_faults(self):
         # A deep-k kernel staged into a scratchpad that cannot hold its
         # operand panels must fault during staging, not corrupt results.
-        from repro.runtime.kernels import build_tile_mmo_program
+        from repro.compile.lower import build_tile_mmo_program
 
         program, c_addr, _ = build_tile_mmo_program(MmoOpcode.MMA, 8, boolean=False)
         tiny = SharedMemory(size_bytes=1024)

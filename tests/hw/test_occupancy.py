@@ -13,7 +13,7 @@ from repro.hw.occupancy import (
     tile_kernel_shared_bytes,
 )
 from repro.isa import MmoOpcode
-from repro.runtime.kernels import build_tile_mmo_program
+from repro.compile.lower import build_tile_mmo_program
 
 
 def _program(tiles_k: int, boolean: bool = False):

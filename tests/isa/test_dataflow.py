@@ -17,7 +17,7 @@ from repro.isa import (
     validate_translation,
 )
 from repro.isa.optimizer import optimize_program
-from repro.runtime.kernels import build_tile_mmo_program
+from repro.compile.lower import build_tile_mmo_program
 
 
 def _chain_program(tiles_k: int = 3) -> Program:

@@ -18,7 +18,7 @@ from repro.isa import (
     StoreMatrix,
 )
 from repro.isa.optimizer import optimize_program
-from repro.runtime.kernels import build_tile_mmo_program
+from repro.compile.lower import build_tile_mmo_program
 from repro.compile import lower_mmo
 
 

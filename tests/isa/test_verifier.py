@@ -15,7 +15,7 @@ from repro.isa import (
     StoreMatrix,
     verify_program,
 )
-from repro.runtime.kernels import build_tile_mmo_program
+from repro.compile.lower import build_tile_mmo_program
 
 
 def _valid_program() -> Program:

@@ -96,3 +96,12 @@ class TestHostClosure:
         host.upload("dist", adjacency)
         with pytest.raises(SemiringError, match="unknown closure method"):
             host.run_closure("min-plus", "dist", method="johnson")
+
+    def test_zero_iteration_cap_rejected(self, adjacency):
+        """``max_iterations=0`` raises like every other closure entry point
+        instead of silently reporting a zero-iteration outcome."""
+        host = HostRuntime(backend="vectorized")
+        host.upload("dist", adjacency)
+        with pytest.raises(SemiringError, match="max_iterations must be positive"):
+            host.run_closure("min-plus", "dist", max_iterations=0)
+        assert "mmo_launch" not in host.event_kinds()

@@ -10,7 +10,7 @@ from repro.isa import MmoOpcode, Program, assemble, disassemble, verify_program
 from repro.isa.optimizer import optimize_program
 from repro.runtime import closure, mmo_tiled, mmo_tiled_split_k, vxm
 from repro.runtime.batched import batched_mmo
-from repro.runtime.kernels import build_tile_mmo_program
+from repro.compile.lower import build_tile_mmo_program
 
 seeds = st.integers(0, 2**32 - 1)
 IDEMPOTENT = ("min-plus", "max-plus", "min-max", "max-min", "or-and")
