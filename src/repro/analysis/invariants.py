@@ -28,7 +28,8 @@ unit test pins down because they are conventions spanning many files:
   "<name>"`` dispatch comparisons outside :mod:`repro.plan` — hardcoded
   names at dispatch sites are exactly what adaptive dispatch replaced;
 - **scheduler-loops** — outside :mod:`repro.sched`, no raw loops over
-  ``execute_compiled``: loop-shaped entry points lower onto a
+  ``execute_compiled`` or the launch body behind it, ``_launch``:
+  loop-shaped entry points lower onto a
   :class:`~repro.sched.graph.LaunchGraph` so every replay flows through
   the scheduler (backend locks, deterministic ordering, per-node
   resilience) instead of a hand-rolled ``for`` loop;
@@ -462,40 +463,40 @@ class BackendResolutionRule(Rule):
 class SchedulerLoopRule(Rule):
     """Loop-shaped launch replay goes through the LaunchGraph scheduler.
 
-    A ``for``/``while`` loop that calls ``execute_compiled`` per
-    iteration is a hand-rolled scheduler: it re-grows exactly the five
-    divergent orchestration loops the :mod:`repro.sched` refactor
-    collapsed — no deterministic node ordinals, no backend thread-safety
-    locks, no per-node resilience policy.  Outside :mod:`repro.sched`
-    (the one place allowed to drive the seam; its retried nodes relaunch
-    through :func:`repro.resilience.policy.attempt`),
-    replays must be expressed as launch nodes on a
-    :class:`~repro.sched.graph.LaunchGraph` and handed to the context's
-    scheduler.
+    A ``for``/``while`` loop that calls ``execute_compiled`` — or the
+    launch body behind it, ``_launch`` — per iteration is a hand-rolled
+    scheduler: it re-grows exactly the five divergent orchestration
+    loops the :mod:`repro.sched` refactor collapsed — no deterministic
+    node ordinals, no backend thread-safety locks, no per-node
+    resilience policy.  Outside :mod:`repro.sched` (the one place
+    allowed to drive the seam; its retried nodes relaunch through
+    :func:`repro.resilience.policy.attempt`), replays must be expressed
+    as launch nodes on a :class:`~repro.sched.graph.LaunchGraph` and
+    handed to the context's scheduler.
     """
 
     name = "scheduler-loops"
     description = (
-        "no execute_compiled calls inside for/while loops outside "
+        "no execute_compiled/_launch calls inside for/while loops outside "
         "repro/sched/ — loop-shaped entry points orchestrate via a "
         "LaunchGraph run by the scheduler"
     )
 
     _LOOPS = (ast.For, ast.AsyncFor, ast.While)
+    _REPLAY_CALLS = frozenset({"execute_compiled", "_launch"})
 
     def applies_to(self, relpath: str) -> bool:
         if relpath.startswith("repro/sched/"):
             return False
         return relpath.startswith("repro/")
 
-    @staticmethod
-    def _is_execute_compiled(node: ast.AST) -> bool:
+    @classmethod
+    def _replay_call(cls, node: ast.AST) -> str | None:
         if not isinstance(node, ast.Call):
-            return False
+            return None
         func = node.func
-        if isinstance(func, ast.Name):
-            return func.id == "execute_compiled"
-        return isinstance(func, ast.Attribute) and func.attr == "execute_compiled"
+        name = func.id if isinstance(func, ast.Name) else _call_attr(node)
+        return name if name in cls._REPLAY_CALLS else None
 
     def check(self, tree: ast.Module, relpath: str) -> Iterator[Violation]:
         for node in ast.walk(tree):
@@ -504,11 +505,12 @@ class SchedulerLoopRule(Rule):
             # Only the loop body/else replay per iteration; the iterable
             # expression evaluates once and walks separately anyway.
             for sub in ast.walk(node):
-                if self._is_execute_compiled(sub):
+                name = self._replay_call(sub)
+                if name is not None:
                     yield self.violation(
                         relpath,
                         sub,
-                        "execute_compiled called inside a loop — lower "
+                        f"{name} called inside a loop — lower "
                         "the iteration onto a LaunchGraph and run it "
                         "through the scheduler (repro.sched) instead",
                     )

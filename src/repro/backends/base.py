@@ -109,6 +109,17 @@ def capabilities_of(backend: "Backend") -> BackendCapabilities:
     return caps if isinstance(caps, BackendCapabilities) else PERMISSIVE_CAPABILITIES
 
 
+def is_planning_backend(backend: "Backend") -> bool:
+    """Whether ``backend`` is a planning stage rather than an executor.
+
+    A planning backend (``"auto"``, see :mod:`repro.plan.backend`)
+    exposes ``select_backend``: the dispatch seam runs its selection
+    instead of a capability check, planners leave it out of their own
+    candidates, and the autotune hook never prices its launches.
+    """
+    return callable(getattr(backend, "select_backend", None))
+
+
 def capable_backends(
     ring: "Semiring | str", *, has_accumulator: bool = False
 ) -> tuple[str, ...]:

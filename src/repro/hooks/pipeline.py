@@ -417,13 +417,13 @@ def build_pipeline(context: "ExecutionContext") -> HookPipeline:
 
 def _is_adaptive(context: "ExecutionContext") -> bool:
     """Whether the context's backend is a planning backend (``"auto"``)."""
-    from repro.backends.base import BackendError, get_backend
+    from repro.backends.base import BackendError, get_backend, is_planning_backend
 
     try:
         impl = get_backend(context.backend)
     except BackendError:
         return False  # resolve_context will raise the canonical error
-    return getattr(impl, "select_backend", None) is not None
+    return is_planning_backend(impl)
 
 
 def emit_event(

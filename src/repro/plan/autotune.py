@@ -379,15 +379,14 @@ class AutotuneHook(Hook):
         if launch.degenerate or launch.stats is None:
             return
         context = launch.context
-        from repro.backends.base import get_backend
+        from repro.backends.base import get_backend, is_planning_backend
 
-        impl = get_backend(context.backend)
-        if getattr(impl, "select_backend", None) is not None:
+        if is_planning_backend(get_backend(context.backend)):
             return  # a planning backend's own time prices nothing
-        # The dispatch seam leaves the plan's density estimates on the
-        # carrier (see kernels._note_plan_densities); only launches that
-        # reached here without a plan (explicit autotune= on a static
-        # context) estimate afresh.
+        # The dispatch seam (kernels._launch) leaves the plan's density
+        # estimates on the carrier; only launches that reached here
+        # without a plan (explicit autotune= on a static context)
+        # estimate afresh.
         densities = (launch.notes or {}).get("plan_densities")
         if densities is None:
             from repro.sparse.density import estimate_density

@@ -2,9 +2,10 @@
 
 Registering the planner under a backend name is what lets every entry
 point adopt adaptive dispatch without signature changes: the dispatch
-seam (:func:`repro.runtime.kernels.mmo_tiled` /
-:func:`~repro.runtime.kernels.execute_compiled`) recognises a backend
-that exposes :meth:`AutoBackend.select_backend`, asks it for the launch's
+seam's one launch body (:func:`repro.runtime.kernels._launch`, behind
+``mmo_tiled``, ``execute_compiled`` and every graph launch node)
+recognises a planning backend
+(:func:`~repro.backends.base.is_planning_backend`), asks it for the launch's
 :class:`~repro.plan.planner.DispatchPlan`, rewrites the context to the
 chosen *concrete* backend and dispatches there.  Consequences worth
 spelling out:

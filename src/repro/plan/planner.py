@@ -37,7 +37,11 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING
 
-from repro.backends.base import capable_backends, get_backend
+from repro.backends.base import (
+    capable_backends,
+    get_backend,
+    is_planning_backend,
+)
 from repro.compile.lower import resolve_opcode
 from repro.runtime.api import RuntimeError_
 from repro.timing.backend_cost import LaunchSpec, estimate
@@ -128,7 +132,7 @@ class DispatchPlan:
 
 def _is_planning_backend(name: str) -> bool:
     """Planning backends (``"auto"``) never appear in their own plans."""
-    return getattr(get_backend(name), "select_backend", None) is not None
+    return is_planning_backend(get_backend(name))
 
 
 class Planner:

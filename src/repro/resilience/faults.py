@@ -5,8 +5,8 @@ applied to SIMD²: every failure mode the resilience layer claims to
 survive must be *injectable on demand, deterministically*, so recovery can
 be proven end-to-end and bit-for-bit.  A :class:`FaultPlan` rides on the
 :class:`~repro.runtime.context.ExecutionContext` and is consulted at the
-``execute_compiled`` seam in :mod:`repro.runtime.kernels` — *after* the
-backend ran — so the same plan corrupts all three backends identically:
+one launch body in :mod:`repro.runtime.kernels` — *after* the backend
+ran — so the same plan corrupts all three backends identically:
 
 - **output corruption** (:class:`FaultSpec`): seeded bit-flips, NaN
   poisoning, or a stuck output tile, applied to chosen launch ordinals;

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -379,8 +379,15 @@ def resilient_mmo(
     )
     board = ctx.breakers
 
+    def order() -> Iterator[str]:
+        # The fallback order is priced only once the context's own
+        # backend has failed (or its breaker is open): a first-try
+        # success never pays for a plan it does not walk.
+        yield ctx.backend
+        yield from fallback.plan(ctx.backend, ring=opcode, a=a, b=b, c=c)[1:]
+
     causes: list[tuple[str, BaseException]] = []
-    for backend_name in fallback.plan(ctx.backend, ring=opcode, a=a, b=b, c=c):
+    for backend_name in order():
         if board is not None and not board.try_acquire(backend_name):
             skip = BreakerOpen(backend_name, state=board.state_of(backend_name))
             emit_event(
@@ -389,8 +396,9 @@ def resilient_mmo(
             )
             causes.append((backend_name, skip))
             continue
-        attempt_ctx = ctx.replace(backend=backend_name)
+        attempt_ctx = ctx
         if backend_name != ctx.backend:
+            attempt_ctx = ctx.replace(backend=backend_name)
             emit_event(
                 ctx, kind="fallback", api=api, backend=backend_name,
                 detail=f"degrading {causes[-1][0]} -> {backend_name}: "

@@ -201,24 +201,16 @@ def resolve_context(
     *,
     backend: str | None = None,
     device: "Simd2Device | None" = None,
-    parallel: bool | None = None,
-    trace: "Trace | None" = None,
-    plan_cache: "PlanCache | None" = None,
-    fault_plan: "FaultPlan | None" = None,
-    hooks: "tuple[Hook | str, ...] | None" = None,
-    autotune: "AutotuneTable | None" = None,
-    scheduler: "Scheduler | None" = None,
-    clock: "Clock | None" = None,
-    budget: "ExecutionBudget | None" = None,
-    cancel: "CancellationToken | None" = None,
-    breakers: "BreakerBoard | None" = None,
 ) -> ExecutionContext:
-    """Fold legacy keywords over a base context and validate the backend.
+    """Fold the legacy ``backend``/``device`` keywords over a base context
+    and validate the backend.
 
     ``context`` defaults to the ambient context; each non-``None`` keyword
-    overrides the corresponding field.  This is the single place the
-    runtime entry points turn their keyword shims into a context, so the
-    backend name is checked exactly once per call, up front.
+    overrides the corresponding field (any other field is set on the
+    context itself, or ambiently through :func:`use_context`).  This is
+    the single place the runtime entry points turn their keyword shims
+    into a context, so the backend name is checked exactly once per call,
+    up front.
     """
     resolved = context if context is not None else default_context()
     overrides: dict[str, object] = {}
@@ -226,28 +218,6 @@ def resolve_context(
         overrides["backend"] = backend
     if device is not None:
         overrides["device"] = device
-    if parallel is not None:
-        overrides["parallel"] = parallel
-    if trace is not None:
-        overrides["trace"] = trace
-    if plan_cache is not None:
-        overrides["plan_cache"] = plan_cache
-    if fault_plan is not None:
-        overrides["fault_plan"] = fault_plan
-    if hooks is not None:
-        overrides["hooks"] = tuple(hooks)
-    if autotune is not None:
-        overrides["autotune"] = autotune
-    if scheduler is not None:
-        overrides["scheduler"] = scheduler
-    if clock is not None:
-        overrides["clock"] = clock
-    if budget is not None:
-        overrides["budget"] = budget
-    if cancel is not None:
-        overrides["cancel"] = cancel
-    if breakers is not None:
-        overrides["breakers"] = breakers
     if overrides:
         resolved = dataclasses.replace(resolved, **overrides)
     _validate_backend(resolved.backend)

@@ -24,18 +24,22 @@ All backends produce matching results (bit-for-bit for the min/max/or
 rings and for integer-valued data; up to summation-order ulps otherwise),
 which is exactly the cross-validation the paper's framework performs.
 
-This module owns the *dispatch seam*: shape validation, backend
-resolution through the :class:`~repro.runtime.context.ExecutionContext`,
-and cached compilation.  Every cross-cutting per-launch concern — input
-validation, fault injection, trace recording (including whether the plan
-cache hit and what the optimiser removed) — runs through the context's
+This module owns the *dispatch seam*, and it has one launch body,
+:func:`_launch`: shape validation, backend lookup, the capability check
+or ``auto`` selection, the empty-output path, the (cached) compile, and
+the backend call.  :func:`mmo_tiled` (compile at launch) and
+:func:`execute_compiled` (replay an artifact) are thin front doors onto
+it, and the :mod:`repro.sched` executor runs every launch node through it
+directly.  Every cross-cutting per-launch concern — input validation,
+fault injection, trace recording (including whether the plan cache hit
+and what the optimiser removed) — runs through the context's
 :class:`~repro.hooks.pipeline.HookPipeline`: the compile step is
 bracketed by ``pre_compile``/``post_compile`` hooks and the backend call
-by ``pre_execute``/``post_execute`` hooks, identically on the
-:func:`mmo_tiled` and :func:`execute_compiled` paths.  Loop-shaped entry
-points (:func:`~repro.runtime.closure.closure`, batched, split-k,
-multi-device, :class:`~repro.runtime.host.HostRuntime`) compile once up
-front and replay the artifact per iteration via :func:`execute_compiled`.
+by ``pre_execute``/``post_execute`` hooks.  Loop-shaped entry points
+(:func:`~repro.runtime.closure.closure`, batched, split-k, multi-device,
+:class:`~repro.runtime.host.HostRuntime`) compile once up front and
+replay the artifact per iteration as launch nodes of a
+:class:`~repro.sched.graph.LaunchGraph`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.compile.lower import compile_mmo, resolve_opcode
-from repro.core.registry import get_semiring
 from repro.core.semiring import Semiring
 from repro.core.tiles import TILE, ceil_div
 from repro.hw.device import Simd2Device
@@ -58,7 +61,6 @@ from repro.runtime.context import ExecutionContext, resolve_context
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import Backend
     from repro.compile.artifact import CompiledMmo
-    from repro.hooks.pipeline import Launch
     from repro.sparse.spgemm import SpgemmStats
 
 __all__ = [
@@ -245,16 +247,6 @@ def _validate_ring_inputs(
                 )
 
 
-def _degenerate_result(
-    semiring: Semiring, m: int, n: int, k: int, c: np.ndarray | None
-) -> tuple[np.ndarray, KernelStats]:
-    """The empty-output fast path (``m == 0`` or ``n == 0``)."""
-    empty = (
-        semiring.full((m, n)) if c is None else np.asarray(c, semiring.output_dtype)
-    )
-    return empty, KernelStats(m, n, k, 0, 0, ceil_div(k, TILE) if k else 1)
-
-
 def _apply_selection(
     ctx: ExecutionContext,
     impl: "Backend",
@@ -277,9 +269,9 @@ def _apply_selection(
     autotune table (the context's own or the process-wide default), so
     the selected launch's wall time feeds back into the next plan.
 
-    Returns the plan's operand density estimates alongside so the caller
-    can hand them to the launch carrier (``AutotuneHook`` then buckets
-    the observation without re-estimating).  The rewritten context is
+    Returns the plan's operand density estimates alongside, for the
+    launch carrier (``AutotuneHook`` buckets with them instead of
+    re-estimating).  The rewritten context is
     memoised on the base context per chosen backend — a stable workload
     replans every launch but rebuilds its context (and hook pipeline)
     only on a backend change.
@@ -327,19 +319,95 @@ def _apply_selection(
     return selected, get_backend(chosen), (plan.density_a, plan.density_b)
 
 
-def _note_plan_densities(
-    launch: "Launch | None", densities: tuple[float, float] | None
-) -> None:
-    """Hand the plan's density estimates to the launch carrier.
+def _launch(
+    ctx: ExecutionContext,
+    opcode: MmoOpcode,
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray | None,
+    *,
+    compiled: "CompiledMmo | None",
+    cache_hit: bool | None,
+    api: str,
+    validate_inputs: bool,
+    fault_ordinal: int | None,
+) -> tuple[np.ndarray, KernelStats]:
+    """The one launch body: :func:`mmo_tiled`, :func:`execute_compiled` and
+    every scheduler launch node run exactly this.
 
-    ``AutotuneHook`` buckets its observation with these instead of
-    re-estimating both operands at ``post_execute``.
+    Shape validation (plus the artifact's operand spec), the backend
+    lookup, the capability check or a planning backend's selection, the
+    empty-output path, the artifact (compiled here when ``compiled is
+    None``, whose own hit flag then replaces ``cache_hit``), and the
+    clocked ``begin_launch`` → ``execute`` → ``finish_launch`` bracket.
+    ``fault_ordinal`` is a build-time-reserved fault-plan ordinal;
+    ``None`` claims the next one at execute time.  Empty-output launches
+    compile nothing, plan nothing and claim no ordinal.
     """
-    if launch is None or densities is None:
-        return
-    if launch.notes is None:
-        launch.notes = {}
-    launch.notes["plan_densities"] = densities
+    from repro.backends.base import (  # lazy: backends import us
+        check_backend_capability,
+        get_backend,
+        is_planning_backend,
+    )
+
+    a, b, c, m, n, k = _validate_operands(a, b, c)
+    has_accumulator = c is not None
+    empty = m == 0 or n == 0
+    if compiled is not None and not empty:
+        compiled.validate_operands(m, n, k, has_accumulator=has_accumulator)
+    # Resolve + validate the backend even for empty outputs, so a
+    # capability violation fails identically on every input.
+    impl = get_backend(ctx.backend)
+    planning = is_planning_backend(impl)
+    if not planning:
+        check_backend_capability(
+            impl, opcode.semiring, has_accumulator=has_accumulator
+        )
+    pipeline = ctx.pipeline
+
+    if empty:
+        launch = pipeline.begin_launch(
+            ctx, api, opcode, a, b, c,
+            validate_inputs=validate_inputs, degenerate=True,
+        )
+        result = (
+            opcode.semiring.full((m, n))
+            if c is None
+            else np.asarray(c, opcode.semiring.output_dtype)
+        )
+        stats = KernelStats(m, n, k, 0, 0, ceil_div(k, TILE) if k else 1)
+        return pipeline.finish_launch(launch, result, stats, 0.0), stats
+
+    densities = None
+    if planning:
+        # Selection runs per launch, replays included, so a loop compiled
+        # once under backend="auto" migrates backends as its operands'
+        # density drifts across the crossover.
+        ctx, impl, densities = _apply_selection(ctx, impl, opcode, a, b, c, api=api)
+        pipeline = ctx.pipeline
+    if compiled is None:
+        compiled, cache_hit = compile_in_context(
+            ctx, impl, opcode, m, n, k, has_accumulator=has_accumulator, api=api
+        )
+
+    launch = pipeline.begin_launch(
+        ctx, api, opcode, a, b, c,
+        validate_inputs=validate_inputs,
+        cache_hit=cache_hit,
+        optimizer_removed=compiled.optimizer_removed,
+        fault_ordinal=fault_ordinal,
+    )
+    if launch is not None and densities is not None:
+        # AutotuneHook buckets its observation with the plan's estimates
+        # instead of re-estimating both operands at post_execute.
+        if launch.notes is None:
+            launch.notes = {}
+        launch.notes["plan_densities"] = densities
+    clock = _launch_clock(ctx)
+    start = clock.now()
+    result, stats = impl.execute(compiled, a, b, c, context=ctx)
+    elapsed = clock.now() - start
+    return pipeline.finish_launch(launch, result, stats, elapsed), stats
 
 
 def execute_compiled(
@@ -350,77 +418,22 @@ def execute_compiled(
     *,
     context: ExecutionContext,
     api: str = "mmo_tiled",
-    cache_hit: bool | None = True,
     validate_inputs: bool = True,
-    fault_ordinal: int | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Replay a compiled artifact against fresh operands.
 
-    This is the execute half of the split, used by loop-shaped entry
-    points (closure iteration, batched launches, multi-device bands) that
-    compile once up front: operands are validated against the artifact's
-    operand-shape spec, the context's hook pipeline brackets the backend
-    call (ring-input validation, fault injection, trace recording — the
-    same hooks, in the same order, as :func:`mmo_tiled`), and the launch
-    is recorded with ``cache_hit`` (callers pass the compile call's hit
-    flag for the first iteration and ``True`` for replays).
-
-    ``validate_inputs=False`` opts out of ring-input poison validation,
-    exactly as on :func:`mmo_tiled` — loop entry points that deliberately
-    iterate non-finite state (NaN fixpoints, fault studies) validate once
-    up front, or not at all, and disable the per-replay check.
-
-    ``fault_ordinal`` hands the launch a pre-reserved fault-plan ordinal
-    (a :mod:`repro.sched` graph node numbered at build time); ``None``
-    keeps today's claim-at-execute numbering.  Degenerate launches ignore
-    it — they never claim an ordinal.
-
-    The context must already be resolved (backend validated).
+    The execute half of the compile/execute split: operands are checked
+    against the artifact's operand-shape spec, then the launch runs the
+    same body as :func:`mmo_tiled` (``auto`` re-selects per replay) and
+    is recorded as a plan-cache hit.  ``validate_inputs=False`` opts out
+    of ring-input poison validation, exactly as on :func:`mmo_tiled`.
+    The context must already be resolved.
     """
-    from repro.backends.base import (  # lazy: backends import us
-        check_backend_capability,
-        get_backend,
+    return _launch(
+        context, compiled.opcode, a, b, c,
+        compiled=compiled, cache_hit=True, api=api,
+        validate_inputs=validate_inputs, fault_ordinal=None,
     )
-
-    a, b, c, m, n, k = _validate_operands(a, b, c)
-    opcode = compiled.opcode
-    pipeline = context.pipeline
-    if m == 0 or n == 0:
-        launch = pipeline.begin_launch(
-            context, api, opcode, a, b, c,
-            validate_inputs=validate_inputs, degenerate=True,
-        )
-        empty, stats = _degenerate_result(opcode.semiring, m, n, k, c)
-        return pipeline.finish_launch(launch, empty, stats, 0.0), stats
-    compiled.validate_operands(m, n, k, has_accumulator=c is not None)
-    impl = get_backend(context.backend)
-    densities = None
-    if callable(getattr(impl, "select_backend", None)):
-        # Re-select per replay: loop entry points that compiled once under
-        # backend="auto" re-plan every iteration, so closure loops migrate
-        # backends as the iterate's density drifts across the crossover.
-        context, impl, densities = _apply_selection(
-            context, impl, opcode, a, b, c, api=api
-        )
-        pipeline = context.pipeline
-    else:
-        check_backend_capability(
-            impl, opcode.semiring, has_accumulator=c is not None
-        )
-
-    launch = pipeline.begin_launch(
-        context, api, opcode, a, b, c,
-        validate_inputs=validate_inputs,
-        cache_hit=cache_hit,
-        optimizer_removed=compiled.optimizer_removed,
-        fault_ordinal=fault_ordinal,
-    )
-    _note_plan_densities(launch, densities)
-    clock = _launch_clock(context)
-    start = clock.now()
-    result, stats = impl.execute(compiled, a, b, c, context=context)
-    elapsed = clock.now() - start
-    return pipeline.finish_launch(launch, result, stats, elapsed), stats
 
 
 def mmo_tiled(
@@ -434,7 +447,6 @@ def mmo_tiled(
     context: ExecutionContext | None = None,
     api: str = "mmo_tiled",
     validate_inputs: bool = True,
-    fault_ordinal: int | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Whole-matrix ``D = C ⊕ (A ⊗ B)`` with implicit 16×16 tiling.
 
@@ -462,10 +474,6 @@ def mmo_tiled(
         min-plus/max-plus) with a :class:`OperandValidationError` before
         launching — see :func:`_validate_ring_inputs`.  Loop entry points
         that deliberately iterate non-finite state may disable it.
-    fault_ordinal:
-        Pre-reserved fault-plan ordinal for this launch (graph nodes are
-        numbered at build time by :mod:`repro.sched`); ``None`` claims
-        the next ordinal at execute time as before.
 
     Returns
     -------
@@ -475,55 +483,15 @@ def mmo_tiled(
         and :class:`~repro.sparse.spgemm.SpgemmStats` for the sparse one).
     """
     opcode = resolve_opcode(ring)
-    semiring = opcode.semiring
-    a, b, c, m, n, k = _validate_operands(a, b, c)
-
-    # Resolve + validate the backend once, up front — even for degenerate
-    # shapes, so a typo (or a capability violation) fails identically on
-    # every input.
+    # Shape errors outrank a bad backend name, so check them before
+    # resolve_context validates the backend.
+    a, b, c, *_ = _validate_operands(a, b, c)
     ctx = resolve_context(context, backend=backend, device=device)
-    from repro.backends.base import (  # lazy: backends import us
-        check_backend_capability,
-        get_backend,
+    return _launch(
+        ctx, opcode, a, b, c,
+        compiled=None, cache_hit=None, api=api,
+        validate_inputs=validate_inputs, fault_ordinal=None,
     )
-
-    impl = get_backend(ctx.backend)
-    planning = callable(getattr(impl, "select_backend", None))
-    if not planning:
-        check_backend_capability(impl, semiring, has_accumulator=c is not None)
-    pipeline = ctx.pipeline
-
-    if m == 0 or n == 0:
-        launch = pipeline.begin_launch(
-            ctx, api, opcode, a, b, c,
-            validate_inputs=validate_inputs, degenerate=True,
-        )
-        empty, stats = _degenerate_result(semiring, m, n, k, c)
-        return pipeline.finish_launch(launch, empty, stats, 0.0), stats
-
-    densities = None
-    if planning:
-        # Planning backends select per launch; the empty-output path above
-        # never reaches here (nothing runs, so there is nothing to plan).
-        ctx, impl, densities = _apply_selection(ctx, impl, opcode, a, b, c, api=api)
-        pipeline = ctx.pipeline
-
-    compiled, hit = compile_in_context(
-        ctx, impl, opcode, m, n, k, has_accumulator=c is not None, api=api
-    )
-    launch = pipeline.begin_launch(
-        ctx, api, opcode, a, b, c,
-        validate_inputs=validate_inputs,
-        cache_hit=hit,
-        optimizer_removed=compiled.optimizer_removed,
-        fault_ordinal=fault_ordinal,
-    )
-    _note_plan_densities(launch, densities)
-    clock = _launch_clock(ctx)
-    start = clock.now()
-    result, stats = impl.execute(compiled, a, b, c, context=ctx)
-    elapsed = clock.now() - start
-    return pipeline.finish_launch(launch, result, stats, elapsed), stats
 
 
 def mmo_tiled_split_k(

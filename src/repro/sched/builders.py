@@ -63,8 +63,8 @@ class ArtifactPool:
     every later iteration a hit, exactly like the pre-graph loop.
 
     Degenerate shapes (an empty output) yield ``(None, None)``: their
-    nodes dispatch through :func:`~repro.runtime.kernels.mmo_tiled`,
-    which records the launch without compiling anything.
+    nodes take the launch's empty-output path, which records the launch
+    without compiling anything.
     """
 
     def __init__(self, context: "ExecutionContext", api: str):

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, ContextManager, Protocol, runtime_checkable
 import numpy as np
 
 from repro.hw.errors import HardwareError
-from repro.runtime.kernels import KernelStats, execute_compiled, mmo_tiled
+from repro.runtime.kernels import KernelStats, _launch
 from repro.sched.graph import (
     CheckStep,
     GatherStep,
@@ -229,20 +229,13 @@ def _run_launch(
         # The build-time ordinal belongs to the first attempt; a retry
         # claims a fresh one at execute time, deterministically escaping
         # a transient scheduled fault (the pre-graph retry semantics).
-        ordinal = node.fault_ordinal if n == 0 else None
-        if node.compiled is not None:
-            return execute_compiled(
-                node.compiled, a, b, c,
-                context=ctx, api=node.api,
-                cache_hit=node.cache_hit,
-                validate_inputs=node.validate_inputs,
-                fault_ordinal=ordinal,
-            )
-        return mmo_tiled(
-            node.opcode, a, b, c,
-            context=ctx, api=node.api,
-            validate_inputs=node.validate_inputs,
-            fault_ordinal=ordinal,
+        # A node without an artifact (an empty output, or a batch whose
+        # stacks disagree in shape) compiles — or raises — at launch.
+        return _launch(
+            ctx, node.opcode, a, b, c,
+            compiled=node.compiled, cache_hit=node.cache_hit,
+            api=node.api, validate_inputs=node.validate_inputs,
+            fault_ordinal=node.fault_ordinal if n == 0 else None,
         )
 
     try:

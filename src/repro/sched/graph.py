@@ -106,14 +106,15 @@ class Ref:
 
 @dataclasses.dataclass(frozen=True)
 class LaunchStep:
-    """One mmo launch: replay a compiled artifact (or dispatch afresh).
+    """One mmo launch: replay a compiled artifact, or compile at launch.
 
-    ``compiled is None`` dispatches through
-    :func:`~repro.runtime.kernels.mmo_tiled` (degenerate shapes, and
-    batched launches whose stacks disagree in shape, so the dispatch
-    raises exactly like the unbatched call); otherwise
-    :func:`~repro.runtime.kernels.execute_compiled` replays the artifact
-    with ``cache_hit`` recorded on the launch.  ``fault_ordinal``
+    Every node runs the runtime's one launch body
+    (:func:`repro.runtime.kernels._launch`).  With an artifact it is
+    replayed and ``cache_hit`` is recorded on the launch; with
+    ``compiled is None`` (degenerate shapes, and batched launches whose
+    stacks disagree in shape) the launch compiles — or raises — exactly
+    like the unbatched :func:`~repro.runtime.kernels.mmo_tiled` call.
+    ``fault_ordinal``
     is the node's build-time-reserved fault-plan ordinal (``None`` when
     no plan rides the context, or for degenerate empty-output launches).
 

@@ -318,6 +318,23 @@ class TestSchedulerLoopRule:
         )
         assert len(violations) == 1
 
+    def test_loop_over_launch_body_flagged(self):
+        violations = _check(
+            SchedulerLoopRule(),
+            """
+            def replay(compiled, chunks, ctx, opcode):
+                for a, b in chunks:
+                    _launch(
+                        ctx, opcode, a, b, None, compiled=compiled,
+                        cache_hit=True, api="x", validate_inputs=True,
+                        fault_ordinal=None,
+                    )
+            """,
+            "repro/resilience/policy.py",
+        )
+        assert len(violations) == 1
+        assert "_launch called inside a loop" in violations[0].message
+
     def test_single_shot_call_clean(self):
         violations = _check(
             SchedulerLoopRule(),

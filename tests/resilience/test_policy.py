@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SEMIRINGS, mmo
+from repro.hooks import Hook
 from repro.resilience import (
     CorruptionDetected,
     FallbackChain,
@@ -17,7 +18,7 @@ from repro.resilience import (
     RetryPolicy,
     resilient_mmo,
 )
-from repro.runtime import RuntimeError_, Trace, use_context
+from repro.runtime import ExecutionContext, RuntimeError_, Trace, use_context
 from tests.conftest import make_ring_inputs
 
 
@@ -136,6 +137,30 @@ class TestResilientMmo:
             with pytest.raises(RuntimeError_, match="bad mmo operand shapes"):
                 resilient_mmo("min-plus", a, bad_b, context=ctx)
         assert plan.launches_seen == 0
+
+    def test_first_backend_launches_under_the_callers_context(self, rng):
+        a, b, _ = make_ring_inputs(SEMIRINGS["min-plus"], 16, 16, 16, rng, with_c=False)
+        seen = []
+
+        class Spy(Hook):
+            def pre_execute(self, launch):
+                seen.append(launch.context)
+
+        ctx = ExecutionContext(hooks=(Spy(),))
+        resilient_mmo("min-plus", a, b, context=ctx)
+        assert len(seen) == 1
+        assert seen[0] is ctx
+
+    def test_first_try_success_never_prices_the_fallback(self, rng, monkeypatch):
+        import repro.plan.planner as planner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fallback order priced before it was needed")
+
+        monkeypatch.setattr(planner, "planner_order", refuse)
+        a, b, c = make_ring_inputs(SEMIRINGS["min-plus"], 16, 16, 16, rng)
+        d, _ = resilient_mmo("min-plus", a, b, c)
+        np.testing.assert_array_equal(d, mmo("min-plus", a, b, c))
 
     def test_retry_budget_is_respected(self, rng):
         a, b, _ = make_ring_inputs(SEMIRINGS["min-plus"], 16, 16, 16, rng, with_c=False)
